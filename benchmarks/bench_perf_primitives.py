@@ -2,9 +2,9 @@
 
 Not tied to a paper artifact: these watch the hot paths (construction,
 scheme generation, validation — reference and bitset fast path — BFS,
-max-flow) so performance regressions are visible in CI.  Sizes are
-chosen to run in milliseconds; the CI smoke pass shrinks them further
-via ``REPRO_BENCH_N``.
+exact diameter, max-flow) so performance regressions are visible in CI.
+Sizes are chosen to run in milliseconds; the CI smoke pass shrinks them
+further via ``REPRO_BENCH_N``.
 """
 
 import os
@@ -82,6 +82,12 @@ def test_perf_bfs_sweep(benchmark):
     g = hypercube(N)
     dist = benchmark(lambda: g.bfs_distances(0))
     assert int(dist.max()) == N
+
+
+def test_perf_diameter(benchmark):
+    g = hypercube(N)
+    g.csr_arrays()  # materialize the CSR cache outside the timer
+    assert benchmark(g.diameter) == N
 
 
 def test_perf_round_packing_flow(benchmark):

@@ -41,7 +41,11 @@ class GraphStats:
 def graph_stats(
     g: Graph, *, with_diameter: bool = True, diameter_cap: int = 1 << 14
 ) -> GraphStats:
-    """Compute :class:`GraphStats`; skips the O(N·E) diameter above the cap."""
+    """Compute :class:`GraphStats`; skips the diameter above the cap.
+
+    The exact diameter costs O(D · E · N/64) word operations (see
+    :meth:`Graph.diameter`), so it is still the expensive field.
+    """
     n = g.n_vertices
     connected = g.is_connected()
     diameter: int | None = None
